@@ -10,25 +10,24 @@ Run from the root of a source checkout:
 Workloads: r20_batched, r20_serial, noisy_traj, service_mix (see
 perfbench/src/circuits.h for why each was chosen).
 
-The first run builds the library and the driver into .bench_build/ with
-CMake. Each run then starts the driver (perfbench/src) in its own
-process: it generates its inputs from --seed, sets up, measures for
---seconds, checks every output against a reference that shares no code
-with the library, and reports. With --trace 0 the last line of stdout
+The first run builds the library and the measuring program
+(perfbench/src) into .bench_build/ with CMake. Each run then starts that
+program in its own process: it generates its inputs from --seed, sets
+up, measures for --seconds, checks every output against a reference
+that shares no code with the library, and reports. With --trace 0 the last line of stdout
 is the end-to-end metrics of BENCHMARK.json; with --trace 1 it is the
 per-layer metrics, preceded by the waterfall of one job and every
 per-layer figure, including those this workload lacks, with the reason.
 
-An untraced run is split over three driver processes of --seconds/3
-each, run one after another, each on its own inputs: on this class of
-shared host the speed of a memory-bound process varies by about 10%
-from one process to the next, and pooling three processes halves that
-in the run's figures. Jobs and timed wall time are pooled across the
-three; peak_rss_mb is their median; setup_s is the median of their
-three set-ups, each timed from process start to the driver's READY line
-(the first timed job). A traced run is one process. Every result, with
-the host fingerprint, is also written to .bench_results/; compare.py
-compares two of them.
+An untraced run is split over three processes of --seconds/3 each, run
+one after another, each on its own inputs; on a shared 4-core Xeon VM
+the same 20-qubit job took 0.85-1.36 s in different processes, and
+pooling three processes per run evens out part of that. Jobs and timed
+wall time are pooled across the three; peak_rss_mb is their median;
+setup_s is the median of their three set-ups, each timed from process
+start to the program's READY line (the first timed job). A traced run
+is one process. Every result, with the host fingerprint, is also
+written to .bench_results/; compare.py compares two of them.
 
 Exit status: 0 when every output was correct, 1 when a check failed,
 2 or 3 on an error (no result line is printed then).
@@ -72,8 +71,8 @@ def build():
                    check=True, stdout=sys.stderr, stderr=sys.stderr)
 
 
-class Driver:
-    """One driver process (one part of a run); times set-up up to READY."""
+class Part:
+    """One perfbench process (one part of a run); times set-up to READY."""
 
     def __init__(self, args, part, seconds, deadline):
         self.tmp = os.path.join(TMP, "%d-%d" % (os.getpid(), part))
@@ -111,17 +110,17 @@ class Driver:
                 self.process.wait()
             shutil.rmtree(self.tmp, ignore_errors=True)
         if not self.lines or not self.lines[-1].startswith("{"):
-            raise RuntimeError("driver exited %d without a result" % code)
+            raise RuntimeError("perfbench exited %d without a result" % code)
         for line in self.lines[:-1]:
             print(line)
         result = json.loads(self.lines[-1])
         if code not in (0, 1) or (code == 1) == bool(result["correct"]):
-            raise RuntimeError("driver exited %d" % code)
+            raise RuntimeError("perfbench exited %d" % code)
         return result
 
 
 def nearest_rank(values, q):
-    """The quantile the driver uses (perfbench/src/probes.cpp)."""
+    """The quantile perfbench/src/probes.cpp uses."""
     ordered = sorted(values)
     rank = max(1, math.ceil(q * len(ordered)))
     return ordered[min(rank, len(ordered)) - 1]
@@ -161,9 +160,9 @@ def run(args):
     parts, setups = [], []
     count = 1 if args.trace else PARTS
     for part in range(count):
-        driver = Driver(args, part, args.seconds / count, deadline)
-        setups.append(driver.setup_s)
-        parts.append(driver.finish())
+        process = Part(args, part, args.seconds / count, deadline)
+        setups.append(process.setup_s)
+        parts.append(process.finish())
     if args.trace:
         names = bench["per_layer"]
         metrics = {name: (m["value"], m["unit"], m["samples"])

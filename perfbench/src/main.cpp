@@ -1,5 +1,5 @@
 /// \file main.cpp
-/// The benchmark driver run.py launches, one process per run:
+/// The measuring program run.py launches, one process per part of a run:
 ///
 ///   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 ///             [--part <i>] [--data-dir DIR] [--tmp-dir DIR]

@@ -1,6 +1,6 @@
 /// \file probes.h
 /// Measurement helpers shared by the workloads: clocks and quantiles,
-/// the metric report the driver prints, the host fingerprint, the
+/// the metric report each run prints, the host fingerprint, the
 /// memory-bandwidth (triad) probe, and the per-layer replays that time
 /// single calls into the `statevector` and `channels` layers.
 

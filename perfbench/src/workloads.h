@@ -16,7 +16,7 @@ struct Options {
   double seconds = 10.0;
   bool trace = false;
   std::string data_dir = "perfbench/data";
-  /// Scratch directory for service_mix's socket and journal.
+  /// Temporary directory for service_mix's socket and journal.
   std::string tmp_dir = ".bench_tmp";
 };
 
