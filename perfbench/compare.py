@@ -8,10 +8,13 @@ BASE and CHANGE are result files or directories of them (run.py writes
 aside after measuring one commit, before measuring the other). For
 every workload and end-to-end metric present on both sides it prints
 each side's median and quartiles over the runs found, and flags a
-change worse than the metric's bound in BENCHMARK.json. It refuses (exit 2) to compare
-results whose host fingerprints differ: CPU model, nproc, ISA flags,
-LLC size and build flags must all match. Exit 1 when a metric is worse
-than its bound, else 0.
+change worse than the metric's bound in BENCHMARK.json. Where the base
+runs' own quartile spread exceeds the bound, the metric is reported as
+unresolved instead, unless every change run reads better than every
+base run. It refuses (exit 2) to compare results whose host
+fingerprints differ: CPU model, nproc, ISA flags, LLC size and build
+flags must all match. Exit 1 when a metric is worse than its bound,
+else 0.
 """
 
 import json
@@ -84,8 +87,15 @@ def main():
             qb, mb, rb = summary(b)
             delta = (mb - ma) / ma
             regress = -delta if metric["better"] == "higher" else delta
-            flag = "WORSE" if regress > metric["bound"] else ""
-            worse += 1 if flag else 0
+            better = (min(b) > max(a) if metric["better"] == "higher"
+                      else max(b) < min(a))
+            flag = ""
+            if (ra - qa) / ma > metric["bound"] and not better:
+                flag = "unresolved (base spread %.0f%%)" % (
+                    100 * (ra - qa) / ma)
+            elif regress > metric["bound"]:
+                flag = "WORSE"
+                worse += 1
             print("  %-12s base %10.4g [%.4g, %.4g]  change %10.4g [%.4g, "
                   "%.4g]  %+6.1f%% (bound %.0f%%) %s" % (
                       name, ma, qa, ra, mb, qb, rb, 100 * delta,

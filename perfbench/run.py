@@ -23,9 +23,12 @@ An untraced run is split over three processes of --seconds/3 each, run
 one after another, each on its own inputs; on a shared 4-core Xeon VM
 the same 20-qubit job took 0.85-1.36 s in different processes, and
 pooling three processes per run evens out part of that. Jobs and timed
-wall time are pooled across the three; peak_rss_mb is their median;
-setup_s is the median of their three set-ups, each timed from process
-start to the program's READY line (the first timed job). A traced run
+wall time are pooled across the three; peak_rss_mb is their median,
+measured with glibc's mmap threshold pinned at 4 MiB (see
+perfbench/src/main.cpp), which the shipped programs do not do.
+setup_s is the median of five set-ups, each timed from process start
+to the program's READY line (the first timed job): the three parts'
+and those of two more processes that stop after set-up. A traced run
 is one process. Every result, with the host fingerprint, is also
 written to .bench_results/; compare.py compares two of them.
 
@@ -52,6 +55,7 @@ DATA = os.path.join(HERE, "data")
 RESULTS = os.path.join(ROOT, ".bench_results")
 TMP = os.path.join(ROOT, ".bench_tmp")
 PARTS = 3
+SETUP_ONLY = 2
 DEADLINE_S = 170.0
 
 
@@ -74,7 +78,7 @@ def build():
 class Part:
     """One perfbench process (one part of a run); times set-up to READY."""
 
-    def __init__(self, args, part, seconds, deadline):
+    def __init__(self, args, part, seconds, deadline, setup_only=False):
         self.tmp = os.path.join(TMP, "%d-%d" % (os.getpid(), part))
         shutil.rmtree(self.tmp, ignore_errors=True)
         os.makedirs(self.tmp)
@@ -82,6 +86,9 @@ class Part:
                    str(args.seed), "--part", str(part), "--seconds",
                    repr(seconds), "--trace", str(args.trace), "--data-dir",
                    DATA, "--tmp-dir", os.path.relpath(self.tmp, ROOT)]
+        if setup_only:
+            command.append("--setup-only")
+        self.setup_only = setup_only
         self.deadline = deadline
         self.lines = []
         start = time.perf_counter()
@@ -97,7 +104,8 @@ class Part:
         self.setup_s = time.perf_counter() - start
 
     def finish(self):
-        """Waits for the process; returns its parsed result line."""
+        """Waits for the process; returns its parsed result line, or None
+        for a set-up-only process."""
         try:
             for line in self.process.stdout:
                 self.lines.append(line.rstrip("\n"))
@@ -109,6 +117,10 @@ class Part:
                 self.process.kill()
                 self.process.wait()
             shutil.rmtree(self.tmp, ignore_errors=True)
+        if self.setup_only:
+            if code != 0:
+                raise RuntimeError("perfbench set-up exited %d" % code)
+            return None
         if not self.lines or not self.lines[-1].startswith("{"):
             raise RuntimeError("perfbench exited %d without a result" % code)
         for line in self.lines[:-1]:
@@ -163,6 +175,11 @@ def run(args):
         process = Part(args, part, args.seconds / count, deadline)
         setups.append(process.setup_s)
         parts.append(process.finish())
+    for part in range(0 if args.trace else SETUP_ONLY):
+        process = Part(args, count + part, args.seconds / count, deadline,
+                       setup_only=True)
+        setups.append(process.setup_s)
+        process.finish()
     if args.trace:
         names = bench["per_layer"]
         metrics = {name: (m["value"], m["unit"], m["samples"])
@@ -173,6 +190,7 @@ def run(args):
         print("%s, seed %d, %d parts:" % (args.workload, args.seed, count))
         for name, (value, unit, samples) in metrics.items():
             print("  %-36s %14.6g %-8s n=%d" % (name, value, unit, samples))
+        print("  (peak_rss_mb under a malloc mmap threshold pinned at 4 MiB)")
     correct = all(part["correct"] for part in parts)
     attempted = sum(part["attempted"] for part in parts)
     failed = sum(part["failed"] for part in parts)
@@ -184,6 +202,8 @@ def run(args):
                    "seconds": args.seconds, "trace": args.trace,
                    "correct": correct, "attempted": attempted,
                    "failed": failed, "setup_samples_s": setups,
+                   "rss_samples_mb": [part["series"]["rss_mb"]
+                                      for part in parts if "series" in part],
                    "metrics": {k: {"value": v, "unit": u, "samples": n}
                                for k, (v, u, n) in metrics.items()},
                    "absent": parts[0]["absent"],

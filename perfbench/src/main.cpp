@@ -2,14 +2,15 @@
 /// The measuring program run.py launches, one process per part of a run:
 ///
 ///   perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-///             [--part <i>] [--data-dir DIR] [--tmp-dir DIR]
+///             [--part <i>] [--setup-only] [--data-dir DIR] [--tmp-dir DIR]
 ///   perfbench --self-test [--data-dir DIR]
 ///   perfbench --regen-noisy [--data-dir DIR]
 ///
 /// run.py splits one untraced run over several processes (parts); each
 /// part draws its inputs from (seed, part). A part prints READY when
 /// set-up ends, human-readable figures, and one JSON line last; it
-/// exits 1 when a correctness check failed and 2 on an error.
+/// exits 1 when a correctness check failed and 2 on an error. With
+/// --setup-only it exits 0 right after READY.
 
 #include <cstdio>
 #include <iostream>
@@ -120,12 +121,15 @@ bool is_sampling(const std::string& workload) {
 int main(int argc, char** argv) {
   using namespace perfbench;
 #if defined(__GLIBC__)
-  // glibc raises its mmap threshold after the first large free, after
-  // which freed 16 MiB state vectors may or may not stay resident, and
-  // r20_batched's peak RSS read 54 or 70 MiB from run to run. A fixed
-  // threshold maps every block of 4 MiB or more (a state of 18+ qubits)
-  // on allocation and returns it on free, so peak RSS is the peak of
-  // what the library holds.
+  // peak_rss_mb is measured under a pinned mmap threshold, unlike
+  // bgls_run and bgls_serve, which keep glibc's adaptive one. Under the
+  // adaptive threshold, freed 16 MiB states stay resident in some
+  // arenas and not in others, and r20_batched's peak RSS read 54 or
+  // 70 MiB in a third of its processes each (median of three processes:
+  // 70 MiB in 3 of 10 runs, quartile spread 29% of the median). A fixed
+  // 4 MiB threshold maps every block of 4 MiB or more (a state of 18+
+  // qubits) on allocation and returns it on free, so peak RSS is the
+  // peak of what the library holds, the same in every process.
   mallopt(M_MMAP_THRESHOLD, 4 << 20);
 #endif
   Options options;
@@ -152,6 +156,8 @@ int main(int argc, char** argv) {
         options.data_dir = value();
       } else if (arg == "--tmp-dir") {
         options.tmp_dir = value();
+      } else if (arg == "--setup-only") {
+        options.setup_only = true;
       } else if (arg == "--self-test") {
         self_test = true;
       } else if (arg == "--regen-noisy") {
@@ -176,6 +182,7 @@ int main(int argc, char** argv) {
       throw std::invalid_argument("unknown workload '" + options.workload +
                                   "'");
     }
+    if (options.setup_only) return 0;
     report.print(fingerprint_json());
     return report.correct ? 0 : 1;
   } catch (const std::exception& error) {

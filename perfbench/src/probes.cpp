@@ -119,6 +119,9 @@ void Report::print(const std::string& fingerprint) const {
   std::cout << json << std::endl;
 }
 
+namespace {
+
+/// Last-level cache size in bytes (0 when unknown).
 std::uint64_t llc_bytes() {
   for (int index = 4; index >= 0; --index) {
     const std::string dir =
@@ -135,6 +138,8 @@ std::uint64_t llc_bytes() {
   const long bytes = sysconf(_SC_LEVEL3_CACHE_SIZE);
   return bytes > 0 ? static_cast<std::uint64_t>(bytes) : 0;
 }
+
+}  // namespace
 
 std::string fingerprint_json() {
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -182,6 +187,20 @@ std::string fingerprint_json() {
   return out.str();
 }
 
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : text) {
+    hash ^= c;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+namespace {
+
+/// Single-threaded STREAM triad a = b + s*c over three arrays of
+/// `bytes_per_array` each; best of several passes, GB/s counting
+/// 3 * bytes_per_array per pass.
 double triad_gbps(std::size_t bytes_per_array) {
   const std::size_t count = bytes_per_array / sizeof(double);
   std::vector<double> a(count, 0.0), b(count, 1.0), c(count, 2.0);
@@ -201,6 +220,23 @@ double triad_gbps(std::size_t bytes_per_array) {
   (void)sink;
   return best;
 }
+
+/// Timings of a circuit's operations replayed one call at a time
+/// through apply_op on a fresh StateVectorState, on one thread.
+struct ReplayTimes {
+  double apply_1q_ns_per_amp = 0.0;
+  double apply_2q_ns_per_amp = 0.0;
+  double apply_diag_ns_per_amp = 0.0;
+  std::uint64_t applies_1q = 0, applies_2q = 0, applies_diag = 0;
+  double total_apply_seconds = 0.0;
+  std::uint64_t total_applies = 0;
+  /// Per compute_probability call on the final state.
+  double prob_ns = 0.0;
+  std::uint64_t probes = 0;
+  /// Per depolarize channel apply at the same state size.
+  double channel_apply_us = 0.0;
+  std::uint64_t channel_applies = 0;
+};
 
 ReplayTimes replay(const bgls::Circuit& circuit, int num_qubits) {
 #if defined(BGLS_HAVE_OPENMP)
@@ -240,6 +276,7 @@ ReplayTimes replay(const bgls::Circuit& circuit, int num_qubits) {
         state, gen.below(std::uint64_t{1} << num_qubits));
   }
   out.prob_ns = seconds_since(prob_start) / kProbes * 1e9;
+  out.probes = kProbes;
   if (tc.empty()) {
     // A unitary workload: time the channel layer at this state size on
     // depolarize(0.01), one op per qubit, several rounds.
@@ -264,8 +301,45 @@ ReplayTimes replay(const bgls::Circuit& circuit, int num_qubits) {
   out.apply_2q_ns_per_amp = quantile(t2, 0.5) * 1e9 / amps;
   out.apply_diag_ns_per_amp = quantile(td, 0.5) * 1e9 / amps;
   out.channel_apply_us = quantile(tc, 0.5) * 1e6;
+  out.channel_applies = tc.size();
   if (checksum < 0.0) std::cout << "";  // keeps the probe loop live
   return out;
+}
+
+}  // namespace
+
+void report_kernel_layers(Report& report, const bgls::Circuit& circuit,
+                          int num_qubits) {
+  const ReplayTimes replayed = replay(circuit, num_qubits);
+  const double state_bytes = 16.0 * std::ldexp(1.0, num_qubits);
+  const double triad_state = triad_gbps(static_cast<std::size_t>(state_bytes));
+  // Three arrays of 4/3 LLC each: 4x the LLC in all, which keeps a
+  // traced run's memory near half a GiB.
+  const std::uint64_t llc = llc_bytes();
+  const std::size_t big_array = static_cast<std::size_t>(
+      std::max<std::uint64_t>(llc, 32ULL << 20) * 4 / 3);
+  const double triad_big = triad_gbps(big_array);
+  std::printf("kernel replay at %d qubits; triad sizes: state %.0f B per "
+              "array (x3); 4xLLC %zu B per array (x3 = 4 x %llu B LLC)\n",
+              num_qubits, state_bytes, big_array,
+              static_cast<unsigned long long>(llc));
+
+  report.set("statevector.apply_1q_ns_per_amp", replayed.apply_1q_ns_per_amp,
+             "ns", replayed.applies_1q);
+  report.set("statevector.apply_2q_ns_per_amp", replayed.apply_2q_ns_per_amp,
+             "ns", replayed.applies_2q);
+  report.set("statevector.apply_diag_ns_per_amp",
+             replayed.apply_diag_ns_per_amp, "ns", replayed.applies_diag);
+  report.set("statevector.prob_ns", replayed.prob_ns, "ns", replayed.probes);
+  report.set("statevector.bytes_per_apply", 2 * state_bytes, "B-computed", 1);
+  report.set("statevector.roofline_ratio",
+             2 * state_bytes * static_cast<double>(replayed.total_applies) /
+                 replayed.total_apply_seconds / 1e9 / triad_state,
+             "ratio", replayed.total_applies);
+  report.set("mem.triad_gbps_state", triad_state, "GB/s", 5);
+  report.set("mem.triad_gbps_4xllc", triad_big, "GB/s", 5);
+  report.set("channels.apply_us", replayed.channel_apply_us, "us",
+             replayed.channel_applies);
 }
 
 }  // namespace perfbench

@@ -1,8 +1,8 @@
 /// \file probes.h
 /// Measurement helpers shared by the workloads: clocks and quantiles,
 /// the metric report each run prints, the host fingerprint, the
-/// memory-bandwidth (triad) probe, and the per-layer replays that time
-/// single calls into the `statevector` and `channels` layers.
+/// per-layer replays that time single calls into the `statevector` and
+/// `channels` layers beside a memory-bandwidth (triad) probe.
 
 #pragma once
 
@@ -61,28 +61,20 @@ struct Report {
 /// refuses to compare results whose fingerprints differ.
 std::string fingerprint_json();
 
-/// Last-level cache size in bytes (0 when unknown).
-std::uint64_t llc_bytes();
+/// FNV-1a hash of a text (service reports, circuit descriptions).
+std::uint64_t fnv1a(const std::string& text);
 
-/// Single-threaded STREAM triad a = b + s*c over three arrays of
-/// `bytes_per_array` each; best of several passes, GB/s counting
-/// 3 * bytes_per_array per pass.
-double triad_gbps(std::size_t bytes_per_array);
-
-/// Timings of a circuit's operations replayed one call at a time
-/// through apply_op on a fresh StateVectorState, on one thread.
-struct ReplayTimes {
-  double apply_1q_ns_per_amp = 0.0;
-  double apply_2q_ns_per_amp = 0.0;
-  double apply_diag_ns_per_amp = 0.0;
-  std::uint64_t applies_1q = 0, applies_2q = 0, applies_diag = 0;
-  double total_apply_seconds = 0.0;
-  std::uint64_t total_applies = 0;
-  /// Per compute_probability call on the final state.
-  double prob_ns = 0.0;
-  /// Per depolarize channel apply at the same state size.
-  double channel_apply_us = 0.0;
-};
-ReplayTimes replay(const bgls::Circuit& circuit, int num_qubits);
+/// Per-layer figures of the `statevector`, `mem` and `channels` layers
+/// for a job of `num_qubits` qubits: the job's operations replayed one
+/// apply_op call at a time on one thread (statevector.apply_*_ns_per_amp,
+/// statevector.prob_ns per compute_probability call on the final state,
+/// channels.apply_us per depolarize apply at the same size, from the
+/// job's own channels or, on a unitary job, from probe channels), the
+/// single-threaded STREAM triad at the state's size and at 4x the LLC
+/// (mem.*), and the computed bytes per apply and their achieved rate
+/// over mem.triad_gbps_state (statevector.bytes_per_apply,
+/// statevector.roofline_ratio).
+void report_kernel_layers(Report& report, const bgls::Circuit& circuit,
+                          int num_qubits);
 
 }  // namespace perfbench

@@ -10,6 +10,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "probes.h"
+
 namespace perfbench {
 
 namespace {
@@ -71,15 +73,6 @@ void apply_depolarize(std::vector<C>& rho, int n, int q, double p) {
     rho[i | rm] *= keep;
     rho[i | cm] *= keep;
   }
-}
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 std::string reference_path(const std::string& data_dir, int index) {

@@ -247,6 +247,7 @@ Report run_sampling(const Options& options) {
                   warmup_busy);
   announce_ready();
   Report report;
+  if (options.setup_only) return report;
 
   const double phase_seconds =
       options.trace ? options.seconds / 2 : options.seconds;
@@ -317,34 +318,9 @@ Report run_sampling(const Options& options) {
   }
   const double jobs_n = static_cast<double>(std::max<std::uint64_t>(n, 1));
   const BenchCircuit first = job_circuit(spec, options.seed, traced[0].index);
-  const int qubits = first.num_qubits;
-  const ReplayTimes replayed = replay(to_circuit(first), qubits);
-  const double state_bytes = 16.0 * std::ldexp(1.0, qubits);
-  const double triad_state = triad_gbps(static_cast<std::size_t>(state_bytes));
-  const std::uint64_t llc = llc_bytes();
-  const std::size_t big_array = static_cast<std::size_t>(
-      std::max<std::uint64_t>(llc, 32ULL << 20) * 4 / 3);
-  const double triad_big = triad_gbps(big_array);
-  std::printf("triad sizes: state %.0f B per array (x3); 4xLLC %zu B per "
-              "array (x3 = 4 x %llu B LLC)\n",
-              state_bytes, big_array, static_cast<unsigned long long>(llc));
 
   report.set("statevector.applies", applies / jobs_n, "count", n);
-  report.set("statevector.apply_1q_ns_per_amp", replayed.apply_1q_ns_per_amp,
-             "ns", replayed.applies_1q);
-  report.set("statevector.apply_2q_ns_per_amp", replayed.apply_2q_ns_per_amp,
-             "ns", replayed.applies_2q);
-  report.set("statevector.apply_diag_ns_per_amp",
-             replayed.apply_diag_ns_per_amp, "ns", replayed.applies_diag);
-  report.set("statevector.prob_ns", replayed.prob_ns, "ns", 4096);
-  report.set("statevector.bytes_per_apply", 2 * state_bytes, "B-computed", 1);
-  report.set("statevector.roofline_ratio",
-             2 * state_bytes * static_cast<double>(replayed.total_applies) /
-                 replayed.total_apply_seconds / 1e9 / triad_state,
-             "ratio", replayed.total_applies);
-  report.set("mem.triad_gbps_state", triad_state, "GB/s", 5);
-  report.set("mem.triad_gbps_4xllc", triad_big, "GB/s", 5);
-  report.set("channels.apply_us", replayed.channel_apply_us, "us", 1);
+  report_kernel_layers(report, to_circuit(first), first.num_qubits);
   std::uint64_t channel_ops = 0;
   for (const auto& moment : first.moments) {
     for (const BenchOp& op : moment) {
@@ -400,7 +376,7 @@ Report run_sampling(const Options& options) {
         std::pair{bgls::BackendId::kStabilizer, "stabilizer"},
         std::pair{bgls::BackendId::kMps, "mps"}}) {
     report.set(std::string("api.backend_share.") + name,
-               static_cast<double>(backends[id]), "count", n);
+               static_cast<double>(backends[id]) / jobs_n, "ratio", n);
   }
   report.set("api.cost_ratio_p50", quantile(cost_ratio, 0.5), "ratio",
              cost_ratio.size());

@@ -4,15 +4,15 @@
 /// client submits QASM and waits for the report before submitting
 /// again. The daemon runs two job runners, a result cache and an
 /// fsync'd write-ahead journal (the durable `bgls_serve --journal`
-/// configuration). The job stream is generated in set-up.
+/// configuration). A fixed-length job stream is generated in set-up.
 
 #include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -39,28 +39,23 @@ namespace svc = bgls::service;
 constexpr std::uint64_t kReps = 1024;
 constexpr int kClients = 2;
 constexpr std::size_t kRetained = 128;
-/// Jobs generated in set-up per second of measurement: several times
-/// the throughput measured when the workload was chosen, so the timed
-/// phase ends on time, not by running out of jobs.
-constexpr double kJobsPerSecondBudget = 1000.0;
-
-std::uint64_t fnv1a(const std::string& text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const unsigned char c : text) {
-    hash ^= c;
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+/// Jobs generated in set-up, whatever the run length, so set-up time
+/// does not grow with it (generating them takes about 2 ms per hundred).
+/// A run that gets through the stream replays it from the start; by
+/// then a replayed job's result has left the 128-entry cache, so it
+/// runs again like a new job.
+constexpr std::uint64_t kStreamJobs = 512;
+/// Most jobs one traced phase submits; the daemon retains them all.
+constexpr std::uint64_t kTracedJobs = 8192;
 
 struct Submission {
-  std::uint64_t k = 0;
+  std::uint64_t k = 0;  // submission number; the job is jobs[k % size]
   std::uint64_t id = 0;
   double ms = 0.0;
   std::uint64_t report_hash = 0;
   std::size_t report_bytes = 0;
   bool errored = false;
-  // Traced phase only (status and trace ops after the job):
+  // Traced phase only (status and trace ops after the phase):
   double queue_ms = 0.0, run_ms = 0.0, sample_ms = 0.0, evolve_ms = 0.0;
   bool from_cache = false;
   std::string backend;
@@ -82,7 +77,7 @@ double field(const bgls::JsonValue& value, const std::string& key) {
 }
 
 Submission submit_one(svc::ServiceClient& client, const ServiceJob& job,
-                      std::uint64_t k, bool traced) {
+                      std::uint64_t k) {
   Submission out;
   out.k = k;
   const svc::SubmitArgs args = submit_args(job);
@@ -97,29 +92,31 @@ Submission submit_one(svc::ServiceClient& client, const ServiceJob& job,
     out.ms = seconds_since(start) * 1e3;
     out.errored = true;
     std::cerr << "service job " << k << " failed: " << error.what() << '\n';
-    return out;
-  }
-  if (traced) {
-    const bgls::JsonValue status = client.status(out.id);
-    out.queue_ms = field(status, "queue_ms");
-    out.run_ms = field(status, "run_ms");
-    out.sample_ms = field(status, "sample_ms");
-    out.evolve_ms = field(status, "evolve_ms");
-    out.backend = status.string_or("backend", "");
-    const bgls::JsonValue* cached = status.find("from_cache");
-    out.from_cache = cached != nullptr && cached->as_bool();
-    out.spans = svc::parse_spans(client.trace(out.id));
   }
   return out;
 }
 
-/// Runs the closed loop from job `first` for `seconds`; returns the
-/// submissions and sets the phase's wall time.
+/// Reads a finished job's status and trace from the daemon.
+void look_up(svc::ServiceClient& client, Submission& out) {
+  const bgls::JsonValue status = client.status(out.id);
+  out.queue_ms = field(status, "queue_ms");
+  out.run_ms = field(status, "run_ms");
+  out.sample_ms = field(status, "sample_ms");
+  out.evolve_ms = field(status, "evolve_ms");
+  out.backend = status.string_or("backend", "");
+  const bgls::JsonValue* cached = status.find("from_cache");
+  out.from_cache = cached != nullptr && cached->as_bool();
+  out.spans = svc::parse_spans(client.trace(out.id));
+}
+
+/// Runs the closed loop for `seconds` or `max_jobs` submissions,
+/// whichever ends first; returns the submissions and sets the phase's
+/// wall time.
 std::vector<Submission> run_phase(
     std::vector<std::unique_ptr<svc::ServiceClient>>& clients,
-    const std::vector<ServiceJob>& jobs, std::uint64_t first, double seconds,
-    bool traced, double& wall) {
-  std::atomic<std::uint64_t> next{first};
+    const std::vector<ServiceJob>& jobs, double seconds,
+    std::uint64_t max_jobs, double& wall) {
+  std::atomic<std::uint64_t> next{0};
   std::mutex mutex;
   std::vector<Submission> done;
   const auto start = Clock::now();
@@ -129,8 +126,8 @@ std::vector<Submission> run_phase(
       std::vector<Submission> mine;
       while (seconds_since(start) < seconds) {
         const std::uint64_t k = next++;
-        if (k >= jobs.size()) break;
-        mine.push_back(submit_one(*c, jobs[k], k, traced));
+        if (k >= max_jobs) break;
+        mine.push_back(submit_one(*c, jobs[k % jobs.size()], k));
       }
       const std::lock_guard<std::mutex> lock(mutex);
       done.insert(done.end(), mine.begin(), mine.end());
@@ -138,8 +135,9 @@ std::vector<Submission> run_phase(
   }
   for (auto& thread : threads) thread.join();
   wall = seconds_since(start);
-  if (next.load() >= jobs.size()) {
-    std::printf("warning: the job stream ran out before %.1f s\n", seconds);
+  if (next.load() >= max_jobs) {
+    std::printf("note: the phase stopped at %llu jobs, before %.1f s\n",
+                static_cast<unsigned long long>(max_jobs), seconds);
   }
   std::sort(done.begin(), done.end(),
             [](const Submission& a, const Submission& b) { return a.k < b.k; });
@@ -237,7 +235,7 @@ void print_waterfall(const Submission& job) {
     if (span.name == "queue") queue += span.seconds * 1e3;
     if (span.name == "run") run += span.seconds * 1e3;
   }
-  std::printf("waterfall service_mix job %llu (%s): latency %.3f ms\n",
+  std::printf("waterfall service_mix submission %llu (%s): latency %.3f ms\n",
               static_cast<unsigned long long>(job.k), job.backend.c_str(),
               job.ms);
   const auto row = [&](const char* layer, double ms, const char* note) {
@@ -262,21 +260,29 @@ Report run_service_mix(const Options& options) {
   std::remove(socket_path.c_str());
   std::remove(journal_path.c_str());
 
-  const auto total = static_cast<std::uint64_t>(
-      std::ceil(options.seconds * kJobsPerSecondBudget));
   std::vector<ServiceJob> jobs;
-  jobs.reserve(total);
-  for (std::uint64_t k = 0; k < total; ++k) {
+  jobs.reserve(kStreamJobs);
+  for (std::uint64_t k = 0; k < kStreamJobs; ++k) {
     jobs.push_back(service_job(options.seed, k, jobs));
   }
+  // Stream index of the request a submission carried; a repeat maps to
+  // the job it repeats.
+  const auto origin = [&](const Submission& sub) {
+    const std::uint64_t k = sub.k % kStreamJobs;
+    const std::int64_t repeat = jobs[k].repeat_of;
+    return repeat >= 0 ? static_cast<std::uint64_t>(repeat) : k;
+  };
 
   svc::DaemonOptions daemon_options;
   daemon_options.endpoint = svc::Endpoint::unix_socket(socket_path);
   daemon_options.scheduler.max_concurrent_jobs = 2;
   // Retention and cache sizes (bgls_serve --retain/--cache) small enough
   // to fill within the first second, so peak memory does not grow with
-  // the number of jobs a run gets through.
-  daemon_options.scheduler.max_retained_jobs = kRetained;
+  // the number of jobs a run gets through. A traced run retains every
+  // job of its phase instead, to read each one's status and trace after
+  // the phase.
+  daemon_options.scheduler.max_retained_jobs =
+      options.trace ? kTracedJobs + kClients : kRetained;
   svc::ResultCacheOptions cache_options;
   cache_options.max_entries = kRetained;
   daemon_options.scheduler.result_cache =
@@ -295,33 +301,30 @@ Report run_service_mix(const Options& options) {
     warmup.qasm = to_qasm(brickwork(6, 12, GateSet::kUniversal, 0.0, gen));
     warmup.seed = static_cast<std::uint64_t>(c);
     warmup.num_qubits = 6;
-    (void)submit_one(*clients[static_cast<std::size_t>(c)], warmup, 0, false);
+    (void)submit_one(*clients[static_cast<std::size_t>(c)], warmup, 0);
   }
   announce_ready();
   Report report;
+  if (options.setup_only) return report;
 
-  const double phase_seconds =
-      options.trace ? options.seconds / 2 : options.seconds;
+  // One phase: untraced runs give the end-to-end figures; a traced run
+  // reads every job's status and trace after its wall clock stops, and
+  // the service-side series as deltas over the phase.
+  const std::uint64_t rejected_before =
+      clients[0]->stats().u64_or("rejected", 0);
+  SeriesDelta delta;
+  delta.mark();
   double wall = 0.0;
-  std::vector<Submission> untraced =
-      run_phase(clients, jobs, 0, phase_seconds, false, wall);
-  const double jobs_per_s = static_cast<double>(untraced.size()) / wall;
+  std::vector<Submission> done =
+      run_phase(clients, jobs, options.seconds,
+                options.trace ? kTracedJobs
+                                : std::numeric_limits<std::uint64_t>::max(),
+                wall);
   const double rss = peak_rss_mb();
-
-  // Traced phase: each job is followed by status and trace ops; the
-  // service-side series are read as deltas over the phase.
-  std::vector<Submission> traced;
-  double traced_wall = 0.0, request_p50_ms = 0.0, cache_hits = 0.0,
-         cache_misses = 0.0, journal_records = 0.0, request_count = 0.0,
-         client_rtt_us = 0.0;
+  double request_p50_ms = 0.0, cache_hits = 0.0, cache_misses = 0.0,
+         journal_records = 0.0, request_count = 0.0, client_rtt_us = 0.0;
   std::uint64_t rejected = 0;
   if (options.trace) {
-    const std::uint64_t rejected_before =
-        clients[0]->stats().u64_or("rejected", 0);
-    SeriesDelta delta;
-    delta.mark();
-    traced = run_phase(clients, jobs, untraced.size(), phase_seconds, true,
-                       traced_wall);
     request_p50_ms =
         delta.histogram_quantile("bgls_daemon_request_seconds", 0.5) * 1e3;
     request_count = delta.count("bgls_daemon_request_seconds");
@@ -329,10 +332,13 @@ Report run_service_mix(const Options& options) {
     cache_misses = delta.count("bgls_cache_misses_total");
     journal_records = delta.count("bgls_journal_records_total");
     rejected = clients[0]->stats().u64_or("rejected", 0) - rejected_before;
+    for (Submission& sub : done) {
+      if (!sub.errored) look_up(*clients[0], sub);
+    }
     std::vector<double> rtt;
     for (int i = 0; i < 200; ++i) {
       const auto start = Clock::now();
-      (void)clients[0]->status(traced.back().id);
+      (void)clients[0]->status(done.back().id);
       rtt.push_back(seconds_since(start) * 1e6);
     }
     client_rtt_us = quantile(rtt, 0.5);
@@ -341,15 +347,10 @@ Report run_service_mix(const Options& options) {
   daemon.stop();
 
   // --- Correctness: every report against a direct Session::run --------------
-  std::vector<Submission> all = untraced;
-  all.insert(all.end(), traced.begin(), traced.end());
   // Each distinct request runs once directly (repeats share it), on two
   // threads; then every received report is compared with its request's.
-  std::map<std::uint64_t, DirectRun> direct;  // by origin job index
-  for (const Submission& sub : all) {
-    const std::int64_t repeat = jobs[sub.k].repeat_of;
-    direct[repeat >= 0 ? static_cast<std::uint64_t>(repeat) : sub.k];
-  }
+  std::map<std::uint64_t, DirectRun> direct;  // by origin stream index
+  for (const Submission& sub : done) direct[origin(sub)];
   {
     bgls::Session session;
     std::vector<std::pair<const std::uint64_t, DirectRun>*> slots;
@@ -365,29 +366,27 @@ Report run_service_mix(const Options& options) {
     for (auto& thread : threads) thread.join();
   }
   std::uint64_t failed = 0;
-  for (const Submission& sub : all) {
-    const std::int64_t repeat = jobs[sub.k].repeat_of;
-    const DirectRun& expected =
-        direct.at(repeat >= 0 ? static_cast<std::uint64_t>(repeat) : sub.k);
+  for (const Submission& sub : done) {
+    const DirectRun& expected = direct.at(origin(sub));
     if (sub.errored || sub.report_hash != expected.report_hash ||
         sub.report_bytes != expected.report_bytes) {
       ++failed;
       if (!sub.errored) {
-        std::printf("check FAILED service job %llu: report differs from "
-                    "Session::run\n",
+        std::printf("check FAILED service submission %llu: report differs "
+                    "from Session::run\n",
                     static_cast<unsigned long long>(sub.k));
       }
     }
   }
-  report.attempted = all.size();
+  report.attempted = done.size();
   report.failed = failed;
   report.correct = failed == 0;
   std::printf("service_mix: %zu jobs, %llu failed, %zu distinct requests\n",
-              all.size(), static_cast<unsigned long long>(failed),
+              done.size(), static_cast<unsigned long long>(failed),
               direct.size());
 
   if (!options.trace) {
-    for (const auto& sub : untraced) report.job_ms.push_back(sub.ms);
+    for (const auto& sub : done) report.job_ms.push_back(sub.ms);
     report.busy_s = wall;
     report.rss_mb = rss;
     report.reps = kReps;
@@ -395,24 +394,23 @@ Report run_service_mix(const Options& options) {
   }
 
   // --- Per-layer metrics from the traced phase ----------------------------
-  const auto n = static_cast<std::uint64_t>(traced.size());
+  const auto n = static_cast<std::uint64_t>(done.size());
   const double jobs_n = static_cast<double>(std::max<std::uint64_t>(n, 1));
   std::vector<double> queue_ms, run_ms, wire_ms, parse_us, cost_ratio;
   double sample_ms = 0, evolve_ms = 0, applies = 0, prob_evals = 0,
-         dict_peak = 0, overhead_us = 0, resolve_us = 0;
+         dict_peak = 0, overhead_us = 0, resolve_us = 0, report_bytes = 0;
   std::uint64_t ran = 0;
   std::map<bgls::BackendId, std::uint64_t> backends;
   const Submission* widest = nullptr;
-  for (const Submission& sub : traced) {
-    const ServiceJob& job = jobs[sub.k];
-    const std::uint64_t origin =
-        job.repeat_of >= 0 ? static_cast<std::uint64_t>(job.repeat_of) : sub.k;
-    const DirectRun& d = direct.at(origin);
+  for (const Submission& sub : done) {
+    const ServiceJob& job = jobs[sub.k % kStreamJobs];
+    const DirectRun& d = direct.at(origin(sub));
     applies += static_cast<double>(d.stats.state_applications);
     prob_evals += static_cast<double>(d.stats.probability_evaluations);
     dict_peak += static_cast<double>(d.stats.max_dictionary_size);
     overhead_us += (d.wall_ms - d.stats.sample_ms - d.stats.optimize_ms) * 1e3;
     resolve_us += d.resolve_us;
+    report_bytes += static_cast<double>(sub.report_bytes);
     ++backends[d.backend];
     const auto start = Clock::now();
     (void)bgls::parse_qasm(job.qasm);
@@ -428,32 +426,17 @@ Report run_service_mix(const Options& options) {
       cost_ratio.push_back(sub.run_ms / 1e3 / d.predicted_seconds);
     }
     if (widest == nullptr ||
-        job.num_qubits > jobs[widest->k].num_qubits) {
+        job.num_qubits > jobs[widest->k % kStreamJobs].num_qubits) {
       widest = &sub;
     }
   }
-  if (widest == nullptr) widest = &traced.front();
-  const ServiceJob& wide_job = jobs[widest->k];
-  const ReplayTimes replayed =
-      replay(bgls::parse_qasm(wide_job.qasm), wide_job.num_qubits);
-  const double state_bytes = 16.0 * std::ldexp(1.0, wide_job.num_qubits);
-  const double triad_state = triad_gbps(static_cast<std::size_t>(state_bytes));
-  const std::uint64_t llc = llc_bytes();
-  const std::size_t big_array = static_cast<std::size_t>(
-      std::max<std::uint64_t>(llc, 32ULL << 20) * 4 / 3);
-  const double triad_big = triad_gbps(big_array);
-  std::printf("replay and triad at the widest traced job: %d qubits; triad "
-              "sizes: state %.0f B per array (x3); 4xLLC %zu B per array "
-              "(x3 = 4 x %llu B LLC)\n",
-              wide_job.num_qubits, state_bytes, big_array,
-              static_cast<unsigned long long>(llc));
+  if (widest == nullptr) widest = &done.front();
+  const ServiceJob& wide_job = jobs[widest->k % kStreamJobs];
 
   // Journal appends at this workload's record sizes (a submit line and
   // a terminal report), on the same filesystem as the daemon's journal.
   std::vector<double> append_us;
   {
-    double report_bytes = 0;
-    for (const auto& sub : traced) report_bytes += sub.report_bytes;
     const std::string submit_record(
         svc::submit_request_line(submit_args(wide_job)).size() + 40, 'x');
     const std::string terminal_record(
@@ -474,21 +457,9 @@ Report run_service_mix(const Options& options) {
   }
 
   report.set("statevector.applies", applies / jobs_n, "count", n);
-  report.set("statevector.apply_1q_ns_per_amp", replayed.apply_1q_ns_per_amp,
-             "ns", replayed.applies_1q);
-  report.set("statevector.apply_2q_ns_per_amp", replayed.apply_2q_ns_per_amp,
-             "ns", replayed.applies_2q);
-  report.set("statevector.apply_diag_ns_per_amp",
-             replayed.apply_diag_ns_per_amp, "ns", replayed.applies_diag);
-  report.set("statevector.prob_ns", replayed.prob_ns, "ns", 4096);
-  report.set("statevector.bytes_per_apply", 2 * state_bytes, "B-computed", 1);
-  report.set("statevector.roofline_ratio",
-             2 * state_bytes * static_cast<double>(replayed.total_applies) /
-                 replayed.total_apply_seconds / 1e9 / triad_state,
-             "ratio", replayed.total_applies);
-  report.set("mem.triad_gbps_state", triad_state, "GB/s", 5);
-  report.set("mem.triad_gbps_4xllc", triad_big, "GB/s", 5);
-  report.set("channels.apply_us", replayed.channel_apply_us, "us", 1);
+  // The kernel layers at the widest job the daemon ran.
+  report_kernel_layers(report, bgls::parse_qasm(wide_job.qasm),
+                       wide_job.num_qubits);
   report.set("channels.ops_per_traj", 0.0, "count", 1);
   const char* serial = "jobs run at threads = 1, on the serial path";
   report.absent("engine.evolve_ms", serial);
@@ -515,7 +486,7 @@ Report run_service_mix(const Options& options) {
         std::pair{bgls::BackendId::kStabilizer, "stabilizer"},
         std::pair{bgls::BackendId::kMps, "mps"}}) {
     report.set(std::string("api.backend_share.") + name,
-               static_cast<double>(backends[id]), "count", n);
+               static_cast<double>(backends[id]) / jobs_n, "ratio", n);
   }
   report.set("api.cost_ratio_p50", quantile(cost_ratio, 0.5), "ratio",
              cost_ratio.size());
@@ -539,10 +510,10 @@ Report run_service_mix(const Options& options) {
   report.set("client.rtt_us", client_rtt_us, "us", 200);
   report.set("service.wire_ms_p50", quantile(wire_ms, 0.5), "ms",
              wire_ms.size());
-  report.set("obs.trace_overhead_ratio",
-             static_cast<double>(n) / traced_wall / jobs_per_s, "ratio",
-             all.size());
-  for (const Submission& sub : traced) {
+  report.absent("obs.trace_overhead_ratio",
+                "the daemon traces every job whether or not a client reads "
+                "the trace, so there is no untraced service run to compare");
+  for (const Submission& sub : done) {
     if (!sub.from_cache && !sub.errored) {
       print_waterfall(sub);
       break;

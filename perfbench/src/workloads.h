@@ -15,6 +15,8 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
+  /// Stop after set-up (run.py's extra set-up time samples).
+  bool setup_only = false;
   std::string data_dir = "perfbench/data";
   /// Temporary directory for service_mix's socket and journal.
   std::string tmp_dir = ".bench_tmp";
