@@ -14,6 +14,9 @@ or individual JSON files. Two formats are understood:
    tree is flattened and every numeric leaf whose key is "seconds" or
    ends in "_seconds" becomes a metric keyed by its JSON path.
 
+A google-benchmark file recorded with --benchmark_repetitions=N has N
+rows per name; the median of them is compared.
+
 Only metrics present on BOTH sides are compared (lower is better).
 A metric counts as a regression when new > old * (1 + threshold);
 the exit code is non-zero iff any regression was found, so CI can run
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -55,6 +59,7 @@ def extract_metrics(doc) -> dict[str, float]:
     """Metric name -> time (lower is better) for one parsed JSON file."""
     metrics: dict[str, float] = {}
     if isinstance(doc, dict) and isinstance(doc.get("benchmarks"), list):
+        repetitions: dict[str, list[float]] = {}
         for bench in doc["benchmarks"]:
             name = bench.get("name")
             real_time = bench.get("real_time")
@@ -67,7 +72,11 @@ def extract_metrics(doc) -> dict[str, float]:
             if bench.get("run_type") == "aggregate":
                 continue
             scale = TIME_UNIT_TO_NS.get(bench.get("time_unit", "ns"), 1.0)
-            metrics[name] = float(real_time) * scale
+            repetitions.setdefault(name, []).append(float(real_time) * scale)
+        # A recording made with --benchmark_repetitions=N carries N rows
+        # per name; their median is the row's value.
+        for name, times in repetitions.items():
+            metrics[name] = statistics.median(times)
     else:
         flatten_time_leaves(doc, "", metrics)
     return metrics

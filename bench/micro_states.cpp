@@ -2,7 +2,7 @@
 /// google-benchmark microbenchmarks of the per-backend kernels behind
 /// the paper's f(n, d) cost model (Secs. 2, 4.1.2, 4.3.3):
 ///  - statevector apply/probability (f dominated by 2^n gate kernels,
-///    O(1) probability lookups),
+///    O(1) probability lookups) and one depolarizing trajectory step,
 ///  - CH-form Clifford updates and the O(n²)-class amplitude (bit-packed
 ///    to O(n) word operations at n ≤ 63), independent of depth,
 ///  - MPS two-qubit splits and reduced-network amplitudes (O(n·χ³)),
@@ -194,6 +194,25 @@ void BM_StateVector_Probability(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StateVector_Probability)->Arg(20);
+
+void BM_StateVector_Depolarize(benchmark::State& state) {
+  // One depolarize(0.01) trajectory step through the free apply_op: a
+  // unitary mixture draws its branch from fixed probabilities and
+  // applies only the drawn Pauli (nothing for the 99% identity branch),
+  // so the cost is per-op overhead plus 1% of a 1q kernel pass.
+  const int n = static_cast<int>(state.range(0));
+  StateVectorState psi(n);
+  const Gate channel = Gate::Channel(depolarize(0.01));
+  std::vector<Operation> ops;
+  for (int q = 0; q < n; ++q) ops.emplace_back(channel, std::vector<Qubit>{q});
+  Rng rng(29);
+  std::size_t q = 0;
+  for (auto _ : state) {
+    apply_op(ops[q], psi, rng);
+    q = (q + 1) % ops.size();
+  }
+}
+BENCHMARK(BM_StateVector_Depolarize)->Arg(12)->Arg(20);
 
 void BM_Ch_ApplyCnot(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -1,5 +1,6 @@
 #include "channels/channels.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -19,6 +20,44 @@ void require_probability(double p, const char* what) {
                p);
 }
 
+/// Largest |a(r, c) - scale * δ_rc|.
+double distance_to_scaled_identity(const Matrix& a, Complex scale) {
+  double worst = 0.0;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      const Complex target = r == c ? scale : Complex{0.0, 0.0};
+      worst = std::max(worst, std::abs(a(r, c) - target));
+    }
+  }
+  return worst;
+}
+
+/// Classifies one Kraus operator from its Gram matrix K†K. The
+/// tolerances are relative to p and far below anything that could move
+/// a sampled value: a scaled-unitary branch skips renormalization, so
+/// U = K/√p must be unitary to ~1e-13 or the norm would drift.
+KrausBranch classify_branch(const Matrix& k) {
+  KrausBranch branch;
+  branch.gram = k.adjoint() * k;
+  const std::size_t dim = k.rows();
+  double p = 0.0;
+  for (std::size_t i = 0; i < dim; ++i) p += branch.gram(i, i).real();
+  p /= static_cast<double>(dim);
+  if (!(p > 0.0) ||
+      distance_to_scaled_identity(branch.gram, Complex{p, 0.0}) > 1e-13 * p) {
+    return branch;
+  }
+  branch.probability = p;
+  Matrix unitary = k * Complex{1.0 / std::sqrt(p), 0.0};
+  if (distance_to_scaled_identity(unitary, Complex{1.0, 0.0}) <= 1e-14) {
+    branch.kind = KrausKind::kIdentity;
+  } else {
+    branch.kind = KrausKind::kScaledUnitary;
+    branch.unitary = std::move(unitary);
+  }
+  return branch;
+}
+
 }  // namespace
 
 KrausChannel::KrausChannel(std::string name, std::vector<Matrix> operators,
@@ -32,14 +71,40 @@ KrausChannel::KrausChannel(std::string name, std::vector<Matrix> operators,
   arity_ = 0;
   for (std::size_t d = dim; d > 1; d >>= 1) ++arity_;
   Matrix completeness(dim, dim);
+  branches_.reserve(operators_.size());
+  unitary_mixture_ = true;
   for (const auto& k : operators_) {
     BGLS_REQUIRE(k.rows() == dim && k.cols() == dim, "channel '", name_,
                  "' has inconsistently shaped Kraus operators");
-    completeness = completeness + k.adjoint() * k;
+    branches_.push_back(classify_branch(k));
+    completeness = completeness + branches_.back().gram;
+    unitary_mixture_ =
+        unitary_mixture_ && branches_.back().kind != KrausKind::kGeneral;
+    mixture_probabilities_.push_back(branches_.back().probability);
   }
   BGLS_REQUIRE(completeness.approx_equal(Matrix::identity(dim), tol),
                "channel '", name_,
                "' is not trace preserving (sum K†K != I)");
+}
+
+std::vector<double> KrausChannel::branch_weights(
+    const Matrix& reduced_density) const {
+  const std::size_t dim = operators_.front().rows();
+  BGLS_REQUIRE(reduced_density.rows() == dim && reduced_density.cols() == dim,
+               "reduced density matrix does not match channel '", name_, "'");
+  std::vector<double> weights;
+  weights.reserve(branches_.size());
+  for (const KrausBranch& branch : branches_) {
+    // Tr(G ρ) = Σ_{l,m} G(m, l) ρ(l, m); real for Hermitian G and ρ.
+    double acc = 0.0;
+    for (std::size_t l = 0; l < dim; ++l) {
+      for (std::size_t m = 0; m < dim; ++m) {
+        acc += (branch.gram(m, l) * reduced_density(l, m)).real();
+      }
+    }
+    weights.push_back(std::max(0.0, acc));
+  }
+  return weights;
 }
 
 KrausChannel bit_flip(double p) {

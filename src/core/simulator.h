@@ -29,9 +29,14 @@
 ///    Kraus-branch × candidate update (equivalent to running BGLS on the
 ///    channel's unitary dilation and discarding the environment bit),
 ///    which keeps the hidden-variable coupling exact even for non-unital
-///    channels. Mid-circuit measurements read their outcome off the
-///    current bitstring — a faithful sample by the BGL invariant — and
-///    collapse the state accordingly;
+///    channels. The step never copies the state: every joint weight
+///    comes from one read of the 2^k candidate amplitudes (or of their
+///    block of ρ; core/joint_channel.h), and only the drawn branch is
+///    applied — skipped for K ∝ I, applied as U = K/√p without
+///    renormalizing for a scaled unitary (channels/channels.h).
+///    Mid-circuit measurements read their outcome off the current
+///    bitstring — a faithful sample by the BGL invariant — and collapse
+///    the state accordingly;
 ///  - optional skipping of diagonal-gate updates: a diagonal unitary
 ///    rescales every candidate amplitude by a unit-modulus phase, so the
 ///    candidate distribution is unchanged and the resampling step can be
@@ -49,6 +54,7 @@
 
 #include "circuit/circuit.h"
 #include "core/checkpoint.h"
+#include "core/joint_channel.h"
 #include "core/progress.h"
 #include "core/result.h"
 #include "engine/context.h"  // the reusable pool cached behind the simulator
@@ -197,8 +203,11 @@ struct SimulatorOptions {
 ///    callables passed to the constructor (the Python package's API);
 ///  - optional members for full feature support:
 ///      `project(std::span<const Qubit>, Bitstring)` (mid-circuit
-///      measurement), `apply_matrix(const Matrix&, std::span<const
-///      Qubit>)` + `renormalize()` (exact channel branching).
+///      measurement), and the JointChannelState members
+///      (core/joint_channel.h) for exact channel branching:
+///      `apply_matrix(const Matrix&, std::span<const Qubit>)`,
+///      `renormalize()`, `num_qubits()`, and `amplitude(Bitstring)` or
+///      `entry(Bitstring, Bitstring)`.
 template <typename State>
 class Simulator {
  public:
@@ -453,13 +462,12 @@ class Simulator {
   std::size_t resample_dictionary(const State& state, const Operation& op,
                                   BatchDictionary& dictionary,
                                   Rng& rng) const {
-    const auto support = support_of(op);
     BatchDictionary next;
     std::array<double, (1u << kMaxGateArity)> weights{};
     std::array<std::uint64_t, (1u << kMaxGateArity)> counts{};
     std::size_t evaluations = 0;
     for (const auto& [bits, multiplicity] : dictionary) {
-      const CandidateList candidates = expand_candidates(bits, support);
+      const CandidateList candidates = expand_candidates(bits, op.qubits());
       const auto n = static_cast<std::size_t>(candidates.count);
       for (std::size_t i = 0; i < n; ++i) {
         weights[i] = compute_probability_(state, candidates.values[i]);
@@ -524,16 +532,11 @@ class Simulator {
     return true;
   }
 
-  [[nodiscard]] static std::vector<int> support_of(const Operation& op) {
-    return {op.qubits().begin(), op.qubits().end()};
-  }
-
   /// One candidate-resampling step: draws the new bitstring for a single
   /// trajectory.
   Bitstring update_bits(const State& state, Bitstring b, const Operation& op,
                         Rng& rng) {
-    const auto support = support_of(op);
-    const CandidateList candidates = expand_candidates(b, support);
+    const CandidateList candidates = expand_candidates(b, op.qubits());
     std::array<double, (1u << kMaxGateArity)> weights{};
     for (int i = 0; i < candidates.count; ++i) {
       weights[static_cast<std::size_t>(i)] =
@@ -578,36 +581,25 @@ class Simulator {
 
   /// Exact channel handling: sample (Kraus branch, candidate) jointly —
   /// this is BGLS on the channel's unitary dilation with the environment
-  /// bit discarded, so the hidden-variable invariant holds exactly.
-  template <typename S = State>
+  /// bit discarded, so the hidden-variable invariant holds exactly. The
+  /// weights come from the candidates' local amplitudes (or ρ block)
+  /// without copying the state, one categorical draw over them in
+  /// branch-major order picks (branch, candidate), and only the drawn
+  /// branch is applied (apply_kraus_branch). Counters keep their
+  /// meaning: one probability evaluation per joint weight, one state
+  /// application per channel op.
+  template <JointChannelState S = State>
   Bitstring apply_channel_jointly(const Operation& op, S& state, Bitstring b,
-                                  Rng& rng)
-    requires requires(S s, const Matrix& m, std::span<const Qubit> qs) {
-      s.apply_matrix(m, qs);
-      s.renormalize();
-    }
-  {
-    const auto& kraus = op.gate().channel().operators();
-    const auto support = support_of(op);
-    const CandidateList candidates = expand_candidates(b, support);
+                                  Rng& rng) {
+    const KrausChannel& channel = op.gate().channel();
+    const CandidateList candidates = expand_candidates(b, op.qubits());
     const auto num_candidates = static_cast<std::size_t>(candidates.count);
-
-    std::vector<S> branches;
-    branches.reserve(kraus.size());
-    std::vector<double> weights;
-    weights.reserve(kraus.size() * num_candidates);
-    for (const auto& k : kraus) {
-      S branch = state;
-      branch.apply_matrix(k, op.qubits());
-      for (std::size_t i = 0; i < num_candidates; ++i) {
-        weights.push_back(compute_probability_(branch, candidates.values[i]));
-      }
-      branches.push_back(std::move(branch));
-    }
-    stats_.probability_evaluations += weights.size();
-    const std::size_t chosen = rng.categorical(weights);
-    state = std::move(branches[chosen / num_candidates]);
-    state.renormalize();
+    joint_weights_.resize(channel.operators().size() * num_candidates);
+    joint_channel_weights(state, channel, op.qubits(), candidates,
+                          joint_weights_);
+    stats_.probability_evaluations += joint_weights_.size();
+    const std::size_t chosen = rng.categorical(joint_weights_);
+    apply_kraus_branch(state, channel, chosen / num_candidates, op.qubits());
     ++stats_.state_applications;
     return candidates.values[chosen % num_candidates];
   }
@@ -677,12 +669,8 @@ class Simulator {
                      "' which has not been measured yet");
         if (it->second == 0) continue;  // condition false: skip the gate
       }
-      if (gate.is_channel() && hooks_are_native_) {
-        if constexpr (requires(State s, const Matrix& m,
-                               std::span<const Qubit> qs) {
-                        s.apply_matrix(m, qs);
-                        s.renormalize();
-                      }) {
+      if constexpr (JointChannelState<State>) {
+        if (gate.is_channel() && hooks_are_native_) {
           b = apply_channel_jointly(op, state, b, rng);
           continue;
         }
@@ -718,6 +706,9 @@ class Simulator {
   ProbabilityFn compute_probability_;
   bool hooks_are_native_ = true;
   RunStats stats_;
+  /// Joint (branch × candidate) weight buffer reused across channel ops
+  /// so the trajectory loop does not allocate per op.
+  std::vector<double> joint_weights_;
   /// Lazily acquired shared engine context (pool). Copying the
   /// simulator copies the pointer, so copies share one pool.
   std::shared_ptr<EngineContext> engine_context_;

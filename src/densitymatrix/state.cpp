@@ -137,6 +137,30 @@ void DensityMatrixState::project(std::span<const Qubit> qubits,
   renormalize();
 }
 
+Matrix DensityMatrixState::reduced_density_matrix(
+    std::span<const Qubit> qubits) const {
+  const std::size_t block = std::size_t{1} << qubits.size();
+  for (const Qubit q : qubits) {
+    BGLS_REQUIRE(q >= 0 && q < num_qubits_, "qubit ", q, " out of range");
+  }
+  std::size_t mask = 0, ignored = 0;
+  embed_indices(qubits, block - 1, mask, ignored);
+  std::vector<std::size_t> offsets(block);
+  for (std::size_t local = 0; local < block; ++local) {
+    embed_indices(qubits, local, ignored, offsets[local]);
+  }
+  Matrix reduced(block, block);
+  // Every index with zeros on the support: ((base | mask) + 1) carries
+  // past the support bits.
+  for (std::size_t base = 0; base < dim_; base = ((base | mask) + 1) & ~mask) {
+    for (std::size_t l = 0; l < block; ++l) {
+      const Complex* row = &rho_[(base | offsets[l]) * dim_ + base];
+      for (std::size_t m = 0; m < block; ++m) reduced(l, m) += row[offsets[m]];
+    }
+  }
+  return reduced;
+}
+
 double DensityMatrixState::trace() const {
   double acc = 0.0;
   for (std::size_t i = 0; i < dim_; ++i) acc += rho_[i * dim_ + i].real();
@@ -173,17 +197,7 @@ Bitstring DensityMatrixState::sample(Rng& rng) const {
 void apply_op(const Operation& op, DensityMatrixState& state, Rng& rng) {
   const Gate& gate = op.gate();
   if (gate.is_channel()) {
-    const auto& ops = gate.channel().operators();
-    std::vector<double> weights;
-    weights.reserve(ops.size());
-    for (const auto& k : ops) {
-      DensityMatrixState branch = state;
-      branch.apply_matrix(k, op.qubits());
-      weights.push_back(branch.trace());
-    }
-    const std::size_t chosen = rng.categorical(weights);
-    state.apply_matrix(ops[chosen], op.qubits());
-    state.renormalize();
+    apply_channel_trajectory(state, gate.channel(), op.qubits(), rng);
     return;
   }
   state.apply(op);

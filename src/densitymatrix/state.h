@@ -7,7 +7,9 @@
 /// statevector). Channels can be applied exactly (Kraus sum), which makes
 /// this backend the ground truth that the trajectory tests compare
 /// against; in sampler use, channels branch per-Kraus exactly like the
-/// pure-state backends so the hidden-variable coupling stays valid.
+/// pure-state backends — jointly with the candidate bitstring, from the
+/// candidates' 2^k x 2^k block of ρ — so the hidden-variable coupling
+/// stays valid.
 
 #pragma once
 
@@ -51,6 +53,13 @@ class DensityMatrixState {
   /// Projects the listed qubits onto the bits of `bits`, renormalizing.
   void project(std::span<const Qubit> qubits, Bitstring bits);
 
+  /// Partial trace onto the listed qubits: 2^k x 2^k, gate-local index
+  /// order (qubits[0] most significant). One read over the 2^n x 2^k
+  /// entries it sums; channels with non-unitary Kraus operators weigh
+  /// their branches against it.
+  [[nodiscard]] Matrix reduced_density_matrix(
+      std::span<const Qubit> qubits) const;
+
   /// tr(ρ).
   [[nodiscard]] double trace() const;
 
@@ -73,8 +82,9 @@ class DensityMatrixState {
 };
 
 /// BGLS `apply_op` for density matrices: unitaries exactly; channels as
-/// per-Kraus trajectories (the exact Kraus sum is available separately
-/// through apply_channel_sum for reference simulations).
+/// per-Kraus trajectories (apply_channel_trajectory; the exact Kraus
+/// sum is available separately through apply_channel_sum for reference
+/// simulations).
 void apply_op(const Operation& op, DensityMatrixState& state, Rng& rng);
 
 /// BGLS `compute_probability` for density matrices.

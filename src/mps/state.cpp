@@ -165,20 +165,36 @@ double MPSState::probability(Bitstring b) const {
 }
 
 double MPSState::norm() const {
-  // ⟨ψ|ψ⟩: the doubled network with conjugate bonds renamed so the two
-  // copies only share physical labels.
+  // ⟨ψ|ψ⟩ is the reduced density matrix of no qubits (a 1x1 matrix).
+  const Complex n2 = reduced_density_matrix({})(0, 0);
+  return std::sqrt(std::max(0.0, n2.real()));
+}
+
+Matrix MPSState::reduced_density_matrix(std::span<const Qubit> qubits) const {
+  // The doubled network ⟨ψ|ψ⟩ with conjugate bonds renamed so the two
+  // copies share only physical labels, and the support's physical axes
+  // left open on the bra side: contracting it leaves ρ_S[p..., p*...].
+  std::vector<std::string> rows;
+  std::vector<std::string> cols;
+  for (const Qubit q : qubits) {
+    BGLS_REQUIRE(q >= 0 && q < n_, "qubit ", q, " out of range");
+    rows.push_back(physical_label(q));
+    cols.push_back(rows.back() + "*");
+  }
   std::vector<Tensor> network;
   network.reserve(2 * tensors_.size());
   for (const auto& t : tensors_) {
     network.push_back(t);
     Tensor conj = t.conj();
     for (const auto& label : t.labels()) {
-      if (label.front() == 'b') conj.rename_label(label, label + "*");
+      if (label.front() == 'b' ||
+          std::find(rows.begin(), rows.end(), label) != rows.end()) {
+        conj.rename_label(label, label + "*");
+      }
     }
     network.push_back(std::move(conj));
   }
-  const Complex n2 = contract_network(std::move(network)).scalar_value();
-  return std::sqrt(std::max(0.0, n2.real()));
+  return contract_network(std::move(network)).as_matrix(rows, cols);
 }
 
 void MPSState::renormalize() {
@@ -243,18 +259,7 @@ std::size_t MPSState::tensor_size_total() const {
 void apply_op(const Operation& op, MPSState& state, Rng& rng) {
   const Gate& gate = op.gate();
   if (gate.is_channel()) {
-    const auto& ops = gate.channel().operators();
-    std::vector<double> weights;
-    weights.reserve(ops.size());
-    for (const auto& k : ops) {
-      MPSState branch = state;
-      branch.apply_matrix(k, op.qubits());
-      const double branch_norm = branch.norm();
-      weights.push_back(branch_norm * branch_norm);
-    }
-    const std::size_t chosen = rng.categorical(weights);
-    state.apply_matrix(ops[chosen], op.qubits());
-    state.renormalize();
+    apply_channel_trajectory(state, gate.channel(), op.qubits(), rng);
     return;
   }
   state.apply(op);

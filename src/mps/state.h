@@ -66,6 +66,13 @@ class MPSState {
   /// √⟨ψ|ψ⟩ by contracting the doubled network.
   [[nodiscard]] double norm() const;
 
+  /// Reduced density matrix of the listed qubits, 2^k x 2^k in gate-local
+  /// index order (qubits[0] most significant), from one contraction of
+  /// the doubled network. Channels with non-unitary Kraus operators weigh
+  /// their branches against it.
+  [[nodiscard]] Matrix reduced_density_matrix(
+      std::span<const Qubit> qubits) const;
+
   /// Scales the state to unit norm.
   void renormalize();
 
@@ -103,7 +110,8 @@ class MPSState {
   double estimated_fidelity_ = 1.0;
 };
 
-/// BGLS `apply_op` for MPS states.
+/// BGLS `apply_op` for MPS states; channels sample one Kraus branch
+/// (apply_channel_trajectory).
 void apply_op(const Operation& op, MPSState& state, Rng& rng);
 
 /// BGLS `compute_probability` for MPS states — the paper's

@@ -81,6 +81,39 @@ void StateVectorState::project(std::span<const Qubit> qubits, Bitstring bits) {
   for (auto& a : amplitudes_) a *= scale;
 }
 
+Matrix StateVectorState::reduced_density_matrix(
+    std::span<const Qubit> qubits) const {
+  const std::size_t k = qubits.size();
+  const std::size_t block = std::size_t{1} << k;
+  std::size_t mask = 0;
+  std::vector<std::size_t> offsets(block, 0);
+  for (std::size_t j = 0; j < k; ++j) {
+    BGLS_REQUIRE(qubits[j] >= 0 && qubits[j] < num_qubits_, "qubit ",
+                 qubits[j], " out of range");
+    const std::size_t bit = std::size_t{1} << qubits[j];
+    mask |= bit;
+    for (std::size_t local = 0; local < block; ++local) {
+      if ((local >> (k - 1 - j)) & 1u) offsets[local] |= bit;
+    }
+  }
+  Matrix rho(block, block);
+  std::vector<Complex> gathered(block);
+  // Walk every index with zeros on the support: ((base | mask) + 1)
+  // carries past the support bits.
+  for (std::size_t base = 0; base < amplitudes_.size();
+       base = ((base | mask) + 1) & ~mask) {
+    for (std::size_t l = 0; l < block; ++l) {
+      gathered[l] = amplitudes_[base | offsets[l]];
+    }
+    for (std::size_t l = 0; l < block; ++l) {
+      for (std::size_t m = 0; m < block; ++m) {
+        rho(l, m) += gathered[l] * std::conj(gathered[m]);
+      }
+    }
+  }
+  return rho;
+}
+
 double StateVectorState::norm_squared() const {
   double acc = 0.0;
   for (const auto& a : amplitudes_) acc += std::norm(a);
@@ -167,18 +200,7 @@ double StateVectorState::max_abs_diff(const StateVectorState& other) const {
 void apply_op(const Operation& op, StateVectorState& state, Rng& rng) {
   const Gate& gate = op.gate();
   if (gate.is_channel()) {
-    // Quantum trajectory: sample a Kraus branch by its Born weight.
-    const auto& ops = gate.channel().operators();
-    std::vector<double> weights;
-    weights.reserve(ops.size());
-    for (const auto& k : ops) {
-      StateVectorState branch = state;
-      branch.apply_matrix(k, op.qubits());
-      weights.push_back(branch.norm_squared());
-    }
-    const std::size_t chosen = rng.categorical(weights);
-    state.apply_matrix(ops[chosen], op.qubits());
-    state.renormalize();
+    apply_channel_trajectory(state, gate.channel(), op.qubits(), rng);
     return;
   }
   state.apply(op);

@@ -70,6 +70,13 @@ class StateVectorState {
   /// and renormalizes. Throws when the outcome has zero probability.
   void project(std::span<const Qubit> qubits, Bitstring bits);
 
+  /// Reduced density matrix Tr_rest |ψ⟩⟨ψ| of the listed qubits: one
+  /// read pass, 2^k x 2^k, gate-local index order (qubits[0] most
+  /// significant). Channels with non-unitary Kraus operators weigh their
+  /// branches against it.
+  [[nodiscard]] Matrix reduced_density_matrix(
+      std::span<const Qubit> qubits) const;
+
   /// Current squared norm (1 for normalized states).
   [[nodiscard]] double norm_squared() const;
 
@@ -105,7 +112,9 @@ class StateVectorState {
 };
 
 /// The BGLS `apply_op` customization point for statevectors: applies
-/// unitaries; throws on measurements/channels (handled by the sampler).
+/// unitaries, samples one Kraus branch of a channel (quantum
+/// trajectory, see apply_channel_trajectory) and throws on
+/// measurements.
 void apply_op(const Operation& op, StateVectorState& state, Rng& rng);
 
 /// The BGLS `compute_probability` customization point for statevectors.
